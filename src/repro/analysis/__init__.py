@@ -1,13 +1,13 @@
 """repro-lint: AST-based invariant analysis for the reproduction codebase.
 
 The repository's load-bearing guarantees — exact :class:`~fractions.Fraction`
-certificates, bit-identical output across every executor backend, and
+certificates, bit-identical output for every ``jobs`` value, and
 pickle-safe task envelopes — are easy to break with one careless line (PR 5
 fixed precisely such a bug: a silent ``float()`` coercion on the certified
 early-stop path).  This package turns those invariants into a static CI
 gate: a stdlib-only linter built on :mod:`ast` visitors, with
 
-* a checker registry mirroring the solver/executor registry pattern
+* a checker registry mirroring the solver/kernel registry pattern
   (:func:`register_checker` / :func:`get_checker` / :func:`available_checkers`),
 * seven built-in rules — EX01 exactness, DT01 determinism, PK01
   pickle-safety, RG01 registry hygiene, CC01 lock discipline, CC02

@@ -3,7 +3,7 @@
 A checker is an :class:`ast.NodeVisitor` subclass that inspects one parsed
 module and reports :class:`Finding` objects.  The :class:`Checker` base adds
 the metadata the runner needs — a stable rule id, a one-line title, and a
-path scope — and the registry mirrors the solver/executor registries:
+path scope — and the registry mirrors the solver/kernel registries:
 checkers register once at import time and every consumer (the CLI, the
 ``repro-lhcds lint`` subcommand, the fixture tests) resolves them by rule id.
 """

@@ -11,7 +11,7 @@ DT01   Determinism: no unordered set iteration feeding ordered results, no
        paths.
 PK01   Pickle-safety: task/result envelope classes are module-level with no
        lambda, closure, generator, or open-handle state.
-RG01   Registry hygiene: registered solvers/executors/patterns/checkers
+RG01   Registry hygiene: registered solvers/kernels/patterns/checkers
        declare their capabilities and carry docstrings.
 CC01   Lock discipline: fields declared in a ``GUARDED_BY`` manifest (or by
        a ``guarded-by`` pragma) mutate only inside ``with self.<lock>:``;

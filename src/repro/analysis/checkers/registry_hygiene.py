@@ -1,8 +1,8 @@
 """RG01 — registry hygiene: registered components declare themselves.
 
-Solvers, executors, patterns, and the lint checkers themselves are resolved
+Solvers, kernels, patterns, and the lint checkers themselves are resolved
 by name through registries; the CLI, the docs, and the permission to skip
-work (``exact``, ``supports_early_stop``, ...) all read the registered
+work (``exact``, ``internal_prune``, ...) all read the registered
 metadata.  A registration with a missing description or an undeclared
 capability is a latent scheduling bug — the engine would guess.  The rule
 flags:
@@ -11,9 +11,9 @@ flags:
   non-empty ``description`` or does not declare ``exact=`` explicitly
   (whole-component skipping is only sound for exact solvers, so the
   capability must be stated, not defaulted);
-* subclasses of ``Executor`` / ``Pattern`` / ``Checker`` without a
-  docstring or without their registry metadata (``name``/``description``,
-  ``name``/``size``, ``rule``/``title`` respectively).
+* subclasses of ``Pattern`` / ``Checker`` / ``KernelBackend`` without a
+  docstring or without their registry metadata (``name``/``size``,
+  ``rule``/``title``, ``name``/``description`` respectively).
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, Dict, Optional, Tuple
 
-from ..base import CheckContext, Checker
+from ..base import Checker
 
 #: Required class attributes per registrable base class.
 REGISTRABLE_BASES: Dict[str, Tuple[str, ...]] = {
-    "Executor": ("name", "description"),
     "Pattern": ("name", "size"),
     "Checker": ("rule", "title"),
     "KernelBackend": ("name", "description"),
@@ -37,7 +36,7 @@ class RegistryHygieneChecker(Checker):
 
     rule: ClassVar[str] = "RG01"
     title: ClassVar[str] = (
-        "registered solvers/executors/patterns/checkers declare capabilities "
+        "registered solvers/kernels/patterns/checkers declare capabilities "
         "and docstrings"
     )
     description: ClassVar[str] = (

@@ -17,19 +17,10 @@ Pick a solver, a pattern, parallel workers, or machine-readable output::
     repro-lhcds topk --dataset PC --pattern 2-triangle --k 3
     repro-lhcds topk --dataset CM --jobs 4 --json
 
-Choose an execution backend (output is bit-identical on every backend)::
-
-    repro-lhcds topk --dataset CM --jobs 4 --executor thread
-    repro-lhcds topk --dataset CM --jobs 4 --executor queue --queue-dir /tmp/q
-
 Choose a compute kernel backend (output is bit-identical on every kernel)::
 
     repro-lhcds topk --dataset HA --kernel numpy
     repro-lhcds kernels
-
-Run standalone workers against a shared queue directory::
-
-    repro-lhcds workers --queue-dir /tmp/q --jobs 2
 
 Reuse preprocessing across solves (warm artifact cache), inspect it, or
 run the persistent solve service::
@@ -55,18 +46,14 @@ from .datasets.registry import dataset_abbreviations, dataset_statistics, get_sp
 from .engine import (
     IncrementalSession,
     SolveRequest,
-    available_executors,
     available_solvers,
     cache_for,
-    describe_executor,
     get_solver,
     report_signature,
     resolve_cache_dir,
     solve,
 )
 from .graph.delta import GraphDelta
-from .engine.executors.filequeue import spawn_worker, worker_loop
-from .engine.worker import DEFAULT_POLL_SECONDS
 from .errors import ReproError
 from .server import app as server_app
 from .kernels import available_kernels, describe_kernel
@@ -106,37 +93,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="workers for component-parallel solving (0 = one per CPU)",
     )
     topk.add_argument(
-        "--executor",
-        choices=available_executors(),
-        default=None,
-        help="execution backend (default: $REPRO_EXECUTOR, then automatic; "
-        "output is bit-identical on every backend)",
-    )
-    topk.add_argument(
         "--kernel",
         choices=available_kernels(),
         default=None,
         help="compute kernel backend (default: $REPRO_KERNEL, then stdlib; "
         "output is bit-identical on every kernel)",
-    )
-    topk.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="intra-component sub-tasks for the dominant component "
-        "(0 = auto, 1 = off; exact solver only)",
-    )
-    topk.add_argument(
-        "--verify-batch",
-        type=int,
-        default=0,
-        help="verification fan-out window for the ippv solver "
-        "(0 = auto, 1 = off, n >= 2 forces a window of n)",
-    )
-    topk.add_argument(
-        "--queue-dir",
-        default=None,
-        help="backing directory for --executor queue (default: private tempdir)",
     )
     topk.add_argument(
         "--cache-dir",
@@ -198,12 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="workers for component-parallel solving (0 = one per CPU)",
     )
     deltas.add_argument(
-        "--executor",
-        choices=available_executors(),
-        default=None,
-        help="execution backend (output is bit-identical on every backend)",
-    )
-    deltas.add_argument(
         "--kernel",
         choices=available_kernels(),
         default=None,
@@ -237,34 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("datasets", help="list the registered stand-in datasets")
     sub.add_parser("solvers", help="list the registered solvers")
-    sub.add_parser("executors", help="list the registered execution backends")
     sub.add_parser("kernels", help="list the registered compute kernel backends")
-
-    workers = sub.add_parser(
-        "workers", help="run queue workers against a shared queue directory"
-    )
-    workers.add_argument("--queue-dir", required=True, help="queue directory to drain")
-    workers.add_argument(
-        "--jobs", type=int, default=1, help="number of worker processes (default 1)"
-    )
-    workers.add_argument(
-        "--poll",
-        type=float,
-        default=DEFAULT_POLL_SECONDS,
-        help="seconds each worker sleeps when the queue is empty "
-        f"(default {DEFAULT_POLL_SECONDS})",
-    )
-    workers.add_argument(
-        "--max-tasks",
-        type=int,
-        default=None,
-        help="stop each worker after this many tasks (default: unbounded)",
-    )
-    workers.add_argument(
-        "--exit-when-empty",
-        action="store_true",
-        help="stop workers as soon as no pending task is available",
-    )
 
     cache = sub.add_parser(
         "cache", help="inspect or clear a warm preprocessed-index cache"
@@ -341,11 +269,7 @@ def _cmd_topk(args: argparse.Namespace) -> int:
             k=args.k,
             solver=args.solver,
             jobs=args.jobs,
-            executor=args.executor,
             kernel=args.kernel,
-            shards=args.shards,
-            verify_batch=args.verify_batch,
-            queue_dir=args.queue_dir,
             cache_dir=args.cache_dir,
             iterations=args.iterations,
             verification=args.verification,
@@ -375,15 +299,9 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     print(f"# total {timings.total:.3f}s "
           f"(propose {timings.seq_kclist + timings.decomposition:.3f}s, "
           f"prune {timings.prune:.3f}s, verify {timings.verification:.3f}s)")
-    sharded = f", {report.shards_used} shard(s)" if report.shards_used else ""
-    fanned = (
-        f", verify fan-out x{report.verify_batch_used}"
-        if report.verify_batch_used
-        else ""
-    )
     print(f"# engine: {pre.num_active_components}/{pre.num_components} components "
           f"solvable, {pre.num_skipped_components} skipped by bounds, "
-          f"{report.jobs_used} worker(s) via {report.executor}{sharded}{fanned}")
+          f"{report.jobs_used} worker(s) via {report.executor}")
     if pre.cache_state != "off":
         print(f"# cache: {pre.cache_state} ({pre.cache_seconds:.3f}s) "
               f"key={pre.cache_key[:16]}…")
@@ -429,7 +347,6 @@ def _cmd_deltas(args: argparse.Namespace) -> int:
         k=args.k,
         solver=args.solver,
         jobs=args.jobs,
-        executor=args.executor,
         kernel=args.kernel,
         iterations=args.iterations,
         verification=args.verification,
@@ -559,12 +476,6 @@ def _cmd_solvers() -> int:
     return 0
 
 
-def _cmd_executors() -> int:
-    for name in available_executors():
-        print(f"{name:8} {describe_executor(name)}")
-    return 0
-
-
 def _cmd_kernels() -> int:
     for name in available_kernels():
         print(f"{name:8} {describe_kernel(name)}")
@@ -632,43 +543,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return server_app.main(argv)
 
 
-def _cmd_workers(args: argparse.Namespace) -> int:
-    """Run queue workers (in-process for one, subprocesses for several)."""
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 1
-    if args.jobs == 1:
-        try:
-            completed = worker_loop(
-                args.queue_dir,
-                poll_seconds=args.poll,
-                max_tasks=args.max_tasks,
-                exit_when_empty=args.exit_when_empty,
-            )
-        except KeyboardInterrupt:
-            return 0
-        print(f"completed {completed} task(s)", file=sys.stderr)
-        return 0
-    procs = [
-        spawn_worker(
-            args.queue_dir,
-            poll_seconds=args.poll,
-            exit_when_empty=args.exit_when_empty,
-            max_tasks=args.max_tasks,
-        )
-        for _ in range(args.jobs)
-    ]
-    try:
-        for proc in procs:
-            proc.wait()
-    except KeyboardInterrupt:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.wait()
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point (returns a process exit code)."""
     arguments = list(argv) if argv is not None else sys.argv[1:]
@@ -687,12 +561,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_datasets()
         if args.command == "solvers":
             return _cmd_solvers()
-        if args.command == "executors":
-            return _cmd_executors()
         if args.command == "kernels":
             return _cmd_kernels()
-        if args.command == "workers":
-            return _cmd_workers(args)
         if args.command == "cache":
             return _cmd_cache(args)
         if args.command == "serve":

@@ -1,4 +1,4 @@
-"""Unified solver engine: shared preprocessing + pluggable execution backends.
+"""Unified solver engine: shared preprocessing + component-parallel execution.
 
 Every solve path in the package — IPPV, the exact decomposition, and the
 Greedy / LDSflow / LTDS baselines — runs through this engine::
@@ -12,23 +12,13 @@ Greedy / LDSflow / LTDS baselines — runs through this engine::
 The engine enumerates pattern instances once, splits the graph into
 connected components, bounds each component with the clique-core rules,
 skips components that provably cannot reach the top-k, and solves the rest
-on a pluggable execution backend — ``serial``, ``thread``, ``process``, or
-the file-backed ``queue`` drained by independent workers
-(``python -m repro.engine.worker``) — before merging through a
-deterministic global ordering.  When one component dominates the run,
-solvers with sharding support (``exact``) additionally split its candidate
-space into sub-tasks.  Output is bit-identical across every backend, jobs
-value, and shard count.
+— serially with a dynamic early stop, or on a local process pool when
+``jobs > 1`` and more than one component is left — before merging through
+a deterministic global ordering.  Output is bit-identical for every
+``jobs`` value.
 """
 
-from .executors import (
-    Executor,
-    ExecutorUnavailable,
-    available_executors,
-    describe_executor,
-    get_executor,
-    register_executor,
-)
+from .executors import ExecutorUnavailable
 from .cache import PreprocessCache, cache_for, cache_key, resolve_cache_dir
 from .incremental import (
     DeltaStats,
@@ -46,7 +36,6 @@ from .request import (
     merge_key,
 )
 from .runtime import prepare_request, solve, solve_prepared
-from .sharding import ShardHooks
 from .solvers import (
     SolverSpec,
     available_solvers,
@@ -76,15 +65,9 @@ __all__ = [
     "solve",
     "solve_prepared",
     "SolverSpec",
-    "ShardHooks",
     "available_solvers",
     "get_solver",
     "register_solver",
     "unregister_solver",
-    "Executor",
     "ExecutorUnavailable",
-    "available_executors",
-    "describe_executor",
-    "get_executor",
-    "register_executor",
 ]

@@ -17,9 +17,8 @@ pipeline's output a cacheable artifact:
 * **Artifact.**  The prepared components (induced subgraphs, restricted
   :class:`~repro.instances.InstanceSet`\\ s, compact-number bounds) and the
   :class:`~repro.engine.request.PreprocessStats` are pickled under a
-  versioned schema into ``artifacts/<key>.pkl``, written with the queue
-  backend's claim discipline: temp file + atomic ``rename``, so readers
-  never observe a partial pickle.
+  versioned schema into ``artifacts/<key>.pkl``, written as temp file +
+  atomic ``rename``, so readers never observe a partial pickle.
 * **Ledger.**  ``index.json`` records, per key: the artifact file, its
   content sha256, its size, creation/last-access stamps, and a hit
   counter — plus cache-wide hit/miss/store/eviction counters.  The sha256

@@ -1,51 +1,39 @@
 """Executor protocol: tasks, batches, outcomes, and the worker entry point.
 
-An :class:`Executor` turns a :class:`TaskBatch` — an ordered list of
-independent :class:`EngineTask`\\ s — into an :class:`ExecutionOutcome`
-whose results align one-to-one with the submitted tasks.  The runtime
-builds the batches (one task per prepared component, or setup/shard tasks
-for the intra-component path); executors only decide *where* the tasks run:
+An executor turns a :class:`TaskBatch` — an ordered list of independent
+:class:`EngineTask`\\ s, one per prepared component — into an
+:class:`ExecutionOutcome` whose results align one-to-one with the submitted
+tasks.  The runtime builds the batches; the two backends only decide
+*where* the tasks run:
 
 * ``serial`` — in-process, in order, with the dynamic early stop;
-* ``thread`` — a thread pool (no pickling, cheap for small components);
-* ``process`` — a local :class:`~concurrent.futures.ProcessPoolExecutor`;
-* ``queue`` — a file-backed task queue drained by independent worker
-  processes (``python -m repro.engine.worker``), local or remote-mounted.
+* ``process`` — a local :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Two failure channels are kept strictly apart:
 
 * **Infrastructure failures** (the platform cannot spawn processes, task
-  payloads cannot be pickled, workers die and exhaust their retries) raise
+  payloads cannot be pickled, a worker dies) raise
   :class:`ExecutorUnavailable`; the runtime reacts by re-running the batch
   on the ``serial`` backend and surfaces the reason in
   ``SolveReport.fallback_reason``.  Output is identical either way.
 * **Task failures** (the solver itself raised) travel back as
   :class:`TaskFailure` envelopes — pickle-safe even when the original
   exception is not — and are re-raised as :class:`~repro.errors.EngineError`
-  by every backend.  A solver bug is never silently retried.
+  by both backends.  A solver bug is never silently retried.
 """
 
 from __future__ import annotations
 
-import abc
-import os
-import pickle
-import time
 import traceback
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, ClassVar, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ...errors import EngineError
 from ..solvers import get_solver
 
 #: Task kinds understood by :func:`execute_task`.
 KIND_SOLVE = "solve"
-KIND_SHARD_SETUP = "shard-setup"
-KIND_SHARD_SOLVE = "shard-solve"
-KIND_VERIFY = "verify"
-KIND_PROBE = "probe"
 KIND_CACHED = "cached-result"
 
 
@@ -55,25 +43,19 @@ class EngineTask:
 
     ``payload`` is kind-specific:
 
-    * ``solve`` / ``shard-setup`` — ``(component, scoped_request)``;
-    * ``shard-solve`` — ``(component, scoped_request, setup_result, shard)``;
-    * ``verify`` — ``(verification_task,)``, a self-contained
-      :class:`~repro.lhcds.verify.VerificationTask` from the IPPV
-      verification fan-out;
-    * ``probe`` — a plain dict, used by the test suite and queue smoke
-      checks (see :func:`_run_probe`);
+    * ``solve`` — ``(component, scoped_request)``;
     * ``cached-result`` — ``(result,)``, a precomputed per-component
       :class:`~repro.lhcds.ippv.LhCDSResult` injected by the incremental
-      session.  Executing it just returns the payload, so every backend —
+      session.  Executing it just returns the payload, so both backends —
       including the serial early stop, which sees the same densities in the
-      same order — makes byte-identical decisions to a cold run.
+      same order — make byte-identical decisions to a cold run.
     """
 
     id: str
     kind: str
     solver: str
     payload: Tuple
-    #: Density cap for early-stop-capable executors; ``None`` = always run.
+    #: Density cap for the serial early stop; ``None`` = always run.
     upper_bound: Optional[Fraction] = None
 
 
@@ -86,12 +68,10 @@ class TaskBatch:
     jobs: int = 1
     #: For exact top-k batches ordered by decreasing ``upper_bound``: once
     #: the running k-th best density strictly exceeds the next task's cap,
-    #: the remainder cannot place and may be skipped.  Only meaningful for
-    #: executors with ``supports_early_stop``; others solve every task (the
+    #: the remainder cannot place and may be skipped.  Only the serial
+    #: backend honours it; the process pool solves every task (the
     #: deterministic merge discards the same subgraphs either way).
     early_stop_k: Optional[int] = None
-    #: Backing directory for the queue backend (``None`` = private tempdir).
-    queue_dir: Optional[str] = None
 
 
 @dataclass
@@ -101,11 +81,6 @@ class ExecutionOutcome:
     results: List[Optional[Any]]
     jobs_used: int = 1
     early_stopped: int = 0
-    #: How many times tasks had to be re-queued after their worker was
-    #: presumed dead (queue backend only; 0 everywhere else).  A healthy
-    #: batch — including slow tasks whose lease is kept alive by the
-    #: worker heartbeat — finishes with 0.
-    retries: int = 0
 
 
 @dataclass
@@ -128,76 +103,17 @@ class ExecutorUnavailable(EngineError):
     """The backend's infrastructure failed; the runtime should fall back."""
 
 
-#: The exceptions that mean "the worker pool's infrastructure failed" (as
-#: opposed to a task raising): the one copy of the contract shared by the
-#: process backend and the IPPV verification driver's persistent pool.
-POOL_INFRA_EXCEPTIONS = (OSError, PermissionError, BrokenProcessPool, pickle.PicklingError)
-
-
-class Executor(abc.ABC):
-    """One execution backend (see module docstring for the contract)."""
-
-    name: ClassVar[str] = ""
-    description: ClassVar[str] = ""
-    #: Whether the backend honours ``TaskBatch.early_stop_k``.
-    supports_early_stop: ClassVar[bool] = False
-    #: Whether task payloads must survive pickling to reach the workers.
-    requires_pickling: ClassVar[bool] = False
-
-    @abc.abstractmethod
-    def run(self, batch: TaskBatch) -> ExecutionOutcome:
-        """Execute every task; raise :class:`ExecutorUnavailable` on
-        infrastructure failure and :class:`EngineError` on task failure."""
-
-
 # ----------------------------------------------------------------------
-# task execution (shared by every backend and the queue worker)
+# task execution (shared by both backends)
 # ----------------------------------------------------------------------
-def _run_probe(payload: dict) -> Any:
-    """Diagnostic task: echo a value, sleep, raise, or crash-once.
-
-    ``crash_unless`` names a marker file: when absent the probe creates it
-    and kills the worker process without writing a result — exactly what a
-    crashed worker looks like to the queue coordinator, which is what the
-    crash-retry tests exercise.  ``append_to`` appends one line to a file
-    per execution, so tests can count how many times a task actually ran
-    (the lease-renewal tests assert exactly once).
-    """
-    if payload.get("append_to"):
-        with open(payload["append_to"], "a", encoding="utf-8") as handle:
-            handle.write("ran\n")
-    if payload.get("sleep"):
-        time.sleep(payload["sleep"])
-    if payload.get("raise"):
-        raise RuntimeError(payload["raise"])
-    marker = payload.get("crash_unless")
-    if marker and not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8") as handle:
-            handle.write("crashed once\n")
-        os._exit(17)
-    return payload.get("value")
-
-
 def execute_task(task: EngineTask) -> Any:
     """Run one task to completion; exceptions propagate to the caller."""
-    if task.kind == KIND_PROBE:
-        return _run_probe(task.payload[0])
-    if task.kind == KIND_VERIFY:
-        (verification_task,) = task.payload
-        return verification_task.run()
     if task.kind == KIND_CACHED:
         (result,) = task.payload
         return result
-    spec = get_solver(task.solver)
     if task.kind == KIND_SOLVE:
         component, request = task.payload
-        return spec.solve(component, request)
-    if task.kind == KIND_SHARD_SETUP:
-        component, request = task.payload
-        return spec.sharding.setup(component, request)
-    if task.kind == KIND_SHARD_SOLVE:
-        component, request, setup_result, shard = task.payload
-        return spec.sharding.solve_shard(component, request, setup_result, shard)
+        return get_solver(task.solver).solve(component, request)
     raise EngineError(f"unknown task kind {task.kind!r}")
 
 
@@ -205,9 +121,9 @@ def run_task_enveloped(task: EngineTask) -> Tuple[str, Any]:
     """Worker-side wrapper: ``("ok", result)`` or ``("error", TaskFailure)``.
 
     Keeping the failure as data (never a pickled exception object) means
-    worker-side solver bugs cross process and file-queue boundaries intact
-    and are re-raised as :class:`EngineError` on the coordinator side —
-    they cannot be mistaken for infrastructure failures.
+    worker-side solver bugs cross the process boundary intact and are
+    re-raised as :class:`EngineError` on the coordinator side — they cannot
+    be mistaken for infrastructure failures.
     """
     try:
         return ("ok", execute_task(task))

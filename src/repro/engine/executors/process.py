@@ -1,4 +1,4 @@
-"""Process-pool execution: the default parallel backend.
+"""Process-pool execution: the one parallel backend.
 
 Tasks are pickled to worker processes (payloads are slim by design: one
 component's subgraph, restricted instances, and bounds — never the host
@@ -17,12 +17,12 @@ two-channel contract:
 
 from __future__ import annotations
 
+import pickle
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from .base import (
-    POOL_INFRA_EXCEPTIONS,
     ExecutionOutcome,
-    Executor,
     ExecutorUnavailable,
     TaskBatch,
     run_task_enveloped,
@@ -30,12 +30,13 @@ from .base import (
 )
 
 
-class ProcessExecutor(Executor):
-    """Run tasks on a local :class:`~concurrent.futures.ProcessPoolExecutor`."""
+#: The exceptions that mean "the worker pool's infrastructure failed" (as
+#: opposed to a task raising).
+POOL_INFRA_EXCEPTIONS = (OSError, BrokenProcessPool, pickle.PicklingError)
 
-    name = "process"
-    description = "local process pool (pickled tasks, one OS process per worker)"
-    requires_pickling = True
+
+class ProcessExecutor:
+    """Run tasks on a local :class:`~concurrent.futures.ProcessPoolExecutor`."""
 
     def run(self, batch: TaskBatch) -> ExecutionOutcome:
         jobs = max(batch.jobs, 1)

@@ -6,25 +6,21 @@ import heapq
 from typing import Any, List, Optional
 
 from ...lhcds.ippv import LhCDSResult
-from .base import ExecutionOutcome, Executor, TaskBatch, execute_or_raise
+from .base import ExecutionOutcome, TaskBatch, execute_or_raise
 
 
-class SerialExecutor(Executor):
+class SerialExecutor:
     """Run tasks one after another in the calling process.
 
     For exact top-k batches ordered by decreasing density cap (the order
     the preprocessing emits), the executor keeps the running k best
     verified densities in a min-heap; once the k-th best *strictly*
     exceeds the next task's cap, no later task can place in the global
-    top-k — not even on ties — so the remainder is skipped.  Parallel
-    backends solve every task instead, and the runtime's deterministic
-    merge discards exactly the dominated subgraphs, so output is
-    bit-identical either way.
+    top-k — not even on ties — so the remainder is skipped.  The process
+    pool solves every task instead, and the runtime's deterministic merge
+    discards exactly the dominated subgraphs, so output is bit-identical
+    either way.
     """
-
-    name = "serial"
-    description = "one task at a time in the calling process (dynamic early stop)"
-    supports_early_stop = True
 
     def run(self, batch: TaskBatch) -> ExecutionOutcome:
         k = batch.early_stop_k

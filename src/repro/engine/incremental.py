@@ -17,11 +17,11 @@ keeps that preprocessing alive between calls and maintains it under
 * Per-component :class:`~repro.lhcds.ippv.LhCDSResult`\\ s from previous
   solves are reused for untouched components by injecting them as
   ``cached-result`` tasks into the normal runtime batch
-  (:func:`~repro.engine.runtime.solve_prepared`), so every executor makes
+  (:func:`~repro.engine.runtime.solve_prepared`), so both backends make
   the same scheduling decisions as a cold run.
 
 **Correctness contract** — the same style CI enforces across the
-executor × kernel matrix: after *any* delta sequence, a session solve
+jobs × kernel matrix: after *any* delta sequence, a session solve
 returns a :class:`SolveReport` bit-identical — result *and* stats-relevant
 fields — to a cold solve of the final graph.  The contract rests on two
 structural facts:
@@ -72,16 +72,13 @@ from .runtime import prepare_request, solve_prepared
 
 
 #: Report keys excluded from :func:`report_signature`: work *placement*
-#: (results are bit-identical across executors, jobs, shards, verification
-#: fan-out, and kernels by the engine's matrix guarantee) plus wall-clock
-#: timings.  Everything else is covered by the incremental-equals-cold
-#: contract.
+#: (results are bit-identical across backends, jobs, and kernels by the
+#: engine's matrix guarantee) plus wall-clock timings.  Everything else is
+#: covered by the incremental-equals-cold contract.
 _PLACEMENT_REPORT_KEYS = (
     "jobs",
     "executor",
     "fallback_reason",
-    "shards",
-    "verify_batch",
     "kernel",
     "timings",
 )
@@ -190,8 +187,8 @@ class _ComponentState:
 
 
 #: Solver options that change per-component results; everything else
-#: (executor, jobs, shards, kernel, verification fan-out) only moves work
-#: and is bit-identical by the engine's matrix guarantee.
+#: (jobs, kernel) only moves work and is bit-identical by the engine's
+#: matrix guarantee.
 _ConfigKey = Tuple[str, Optional[int], int, str, bool, str]
 
 

@@ -11,27 +11,16 @@ The runtime turns a :class:`SolveRequest` into a :class:`SolveReport`:
    to the global top-k, so it is never solved.  The decision depends only on
    the precomputed bounds — never on execution order — which keeps every
    backend's output bit-identical.
-4. **Shard planning** (solvers with :class:`~repro.engine.sharding.ShardHooks`,
-   currently ``exact``): when one component's estimated cost dominates the
-   rest — or the request forces it — its candidate space is split into
-   deterministic sub-tasks (setup once, then one task per shard) whose
-   merge reproduces the unsharded output exactly.  Solvers flagged
-   ``verify_fanout`` (currently ``ippv``) get the analogous
-   **verification fan-out plan** under the same dominance rule: the
-   component-scoped request carries a look-ahead window / backend /
-   worker count, and the solver dispatches its per-candidate verification
-   flows as ``verify`` tasks — the engine's third parallel axis
-   (components → exact shards → verification batches).
-5. Execute the task batch on the resolved backend — ``serial``, ``thread``,
-   ``process``, or ``queue`` (see :mod:`repro.engine.executors`), chosen by
-   ``SolveRequest.executor``, the ``REPRO_EXECUTOR`` environment variable,
-   or automatically.  If the backend's infrastructure fails (the platform
-   cannot spawn processes, payloads will not pickle, queue workers keep
-   dying) the runtime falls back to the serial backend and records why in
+4. Execute one task per component.  The backend is derived from
+   ``jobs``: a local ``process`` pool when ``jobs > 1`` and more than one
+   component task is left, ``serial`` otherwise (see
+   :mod:`repro.engine.executors`).  If the pool's infrastructure fails
+   (the platform cannot spawn processes, payloads will not pickle) the
+   runtime re-runs the batch serially and records why in
    ``SolveReport.fallback_reason`` — the output is identical either way.
    Solver exceptions are *not* infrastructure: they re-raise as
-   :class:`EngineError` on every backend.
-6. Merge: concatenate the per-component subgraphs, sort with the same
+   :class:`EngineError` on both backends.
+5. Merge: concatenate the per-component subgraphs, sort with the same
    deterministic key the IPPV driver uses, truncate to ``k``.
 """
 
@@ -50,11 +39,11 @@ from .executors import (
     EngineTask,
     ExecutionOutcome,
     ExecutorUnavailable,
+    ProcessExecutor,
+    SerialExecutor,
     TaskBatch,
-    available_executors,
-    get_executor,
 )
-from .executors.base import KIND_CACHED, KIND_SHARD_SETUP, KIND_SHARD_SOLVE, KIND_SOLVE
+from .executors.base import KIND_CACHED, KIND_SOLVE
 from .preprocess import preprocess
 from .request import (
     PreparedComponent,
@@ -63,29 +52,7 @@ from .request import (
     SolveRequest,
     merge_key,
 )
-from .sharding import dominant_position
 from .solvers import SolverSpec, get_solver
-
-#: Auto verification fan-out window (``SolveRequest.verify_batch == 0``).
-DEFAULT_VERIFY_WINDOW = 8
-
-
-@dataclasses.dataclass(frozen=True)
-class _ShardPlan:
-    """Where and how wide the intra-component sharded path applies."""
-
-    position: int  # index into the selected component list
-    shards: int
-
-
-@dataclasses.dataclass(frozen=True)
-class _VerifyPlan:
-    """Which components fan their verification stage out, and how."""
-
-    window: int
-    jobs: int
-    executor: str
-    positions: frozenset  # indices into the selected component list
 
 
 def _select_components(
@@ -119,124 +86,20 @@ def _select_components(
     return selected, len(components) - len(selected)
 
 
-def _plan_sharding(
-    spec: SolverSpec,
-    components: List[PreparedComponent],
-    request: SolveRequest,
-    jobs: int,
-) -> Optional[_ShardPlan]:
-    """Decide whether (and how wide) to shard the most expensive component.
+def _run_batch(batch: TaskBatch) -> Tuple[ExecutionOutcome, str, Optional[str]]:
+    """Run a batch, falling back to serial when the process pool fails.
 
-    ``request.shards``: ``1`` disables, ``n >= 2`` forces ``n`` sub-tasks,
-    and ``0`` (auto) shards into ``jobs`` sub-tasks when the dominant
-    component's estimated cost is at least the rest of the run combined and
-    more than one worker is available.  Whatever the decision, sharded and
-    unsharded output are bit-identical — the choice only moves work.
+    ``batch.jobs > 1`` selects the process pool.  Returns ``(outcome,
+    backend that actually ran, fallback reason)``.
     """
-    if spec.sharding is None or not components or request.shards == 1:
-        return None
-    position, dominates = dominant_position(components)
-    if request.shards >= 2:
-        return _ShardPlan(position=position, shards=request.shards)
-    if jobs <= 1:
-        return None
-    if not dominates:
-        return None  # no dominant component: component parallelism suffices
-    return _ShardPlan(position=position, shards=jobs)
-
-
-def _resolve_executor(
-    request: SolveRequest,
-    jobs: int,
-    num_tasks: int,
-    sharded: bool,
-    verify_fanout: bool = False,
-) -> str:
-    """Pick the backend: explicit request, then REPRO_EXECUTOR, then auto."""
-    name = request.executor
-    if name is None:
-        name = os.environ.get("REPRO_EXECUTOR", "").strip().lower() or None
-    if name is not None:
-        key = name.strip().lower()
-        if key not in available_executors():
-            raise EngineError(
-                f"unknown executor {name!r}; available: "
-                f"{', '.join(available_executors())}"
-            )
-        return key
-    parallelisable = num_tasks > 1 or sharded or verify_fanout
-    return "process" if jobs > 1 and parallelisable else "serial"
-
-
-def _plan_verify_fanout(
-    spec: SolverSpec,
-    components: List[PreparedComponent],
-    request: SolveRequest,
-    jobs: int,
-    executor_name: str,
-) -> Optional[_VerifyPlan]:
-    """Decide where the verification fan-out applies (solvers that support it).
-
-    ``request.verify_batch``: ``1`` disables, ``n >= 2`` forces a window of
-    ``n`` on every component, and ``0`` (auto) applies a window of
-    :data:`DEFAULT_VERIFY_WINDOW` to the dominant component when more than
-    one verification worker is available.  Like sharding, the plan depends
-    only on the precomputed components — fanned-out and serial verification
-    produce bit-identical output *and* statistics, the choice only moves
-    the flow computations.
-    """
-    if not spec.verify_fanout or not components or request.verify_batch == 1:
-        return None
-    verify_jobs = request.verify_jobs if request.verify_jobs > 0 else jobs
-    # Verification batches are in-memory slices of a component solve; when
-    # that solve itself runs inside a queue worker, dispatching them back
-    # into a queue can starve (with REPRO_QUEUE_SPAWN=0 every worker may be
-    # busy solving, leaving nobody to claim the nested batch until the
-    # queue timeout).  The inherited default is therefore the local
-    # process pool; an explicit verify_executor="queue" still ships the
-    # batches to queue workers.
-    inherited = "process" if executor_name == "queue" else executor_name
-    verify_executor = request.verify_executor or inherited
-    if verify_executor not in available_executors():
-        raise EngineError(
-            f"unknown verify executor {verify_executor!r}; available: "
-            f"{', '.join(available_executors())}"
-        )
-    if request.verify_batch >= 2:
-        return _VerifyPlan(
-            window=request.verify_batch,
-            jobs=verify_jobs,
-            executor=verify_executor,
-            positions=frozenset(range(len(components))),
-        )
-    if verify_jobs <= 1:
-        return None
-    position, dominates = dominant_position(components)
-    if not dominates:
-        return None  # component parallelism already covers the run
-    return _VerifyPlan(
-        window=DEFAULT_VERIFY_WINDOW,
-        jobs=verify_jobs,
-        executor=verify_executor,
-        positions=frozenset({position}),
-    )
-
-
-def _run_batch(
-    executor_name: str, batch: TaskBatch
-) -> Tuple[ExecutionOutcome, str, Optional[str]]:
-    """Run a batch, falling back to serial on infrastructure failure.
-
-    Returns ``(outcome, backend that actually ran, fallback reason)``.
-    """
+    if batch.jobs <= 1:
+        return SerialExecutor().run(batch), "serial", None
     try:
-        return get_executor(executor_name).run(batch), executor_name, None
+        return ProcessExecutor().run(batch), "process", None
     except ExecutorUnavailable as exc:
-        if executor_name == "serial":
-            raise EngineError(f"serial executor unavailable: {exc}") from exc
-        reason = f"{executor_name} backend unavailable, ran serial: {exc}"
+        reason = f"process backend unavailable, ran serial: {exc}"
         serial_batch = dataclasses.replace(batch, jobs=1)
-        return get_executor("serial").run(serial_batch), "serial", reason
+        return SerialExecutor().run(serial_batch), "serial", reason
 
 
 def prepare_request(
@@ -246,13 +109,12 @@ def prepare_request(
 
     Accepts either a prebuilt :class:`SolveRequest` or its keyword
     arguments.  The kernel backend is resolved once (explicit request, then
-    ``REPRO_KERNEL``, then the stdlib default — same model as the executor)
-    and the concrete name pinned on the request: component tasks shipped to
-    process or queue workers then compute on this kernel regardless of the
-    worker's own environment.  Every backend is bit-identical, so this only
-    keeps the report honest about what ran.  Idempotent, and shared by
-    :func:`solve` and the incremental session (which must pin the kernel
-    *before* its own enumeration).
+    ``REPRO_KERNEL``, then the stdlib default) and the concrete name pinned
+    on the request: component tasks shipped to pool workers then compute on
+    this kernel regardless of the worker's own environment.  Every kernel
+    is bit-identical, so this only keeps the report honest about what ran.
+    Idempotent, and shared by :func:`solve` and the incremental session
+    (which must pin the kernel *before* its own enumeration).
     """
     if request is None:
         request = SolveRequest(**options)
@@ -299,14 +161,14 @@ def solve_prepared(
 
     This is the back half of :func:`solve` — everything after
     preprocessing — exposed so callers that maintain their own prepared
-    state (the incremental session) run the exact same selection, planning,
+    state (the incremental session) run the exact same selection,
     execution, and merge code as a cold solve.
 
     ``result_cache``, when given, must provide ``get(component)`` returning
     a cached per-component :class:`LhCDSResult` (or ``None``) and
     ``put(component, result)``.  Cached components are injected as
-    ``cached-result`` tasks into the normal batch, so every executor —
-    including the serial early stop — makes byte-identical decisions to a
+    ``cached-result`` tasks into the normal batch, so both backends —
+    including the serial early stop — make byte-identical decisions to a
     cold run; newly solved components are recorded back into the cache.
     """
     request, spec = prepare_request(request)
@@ -315,43 +177,17 @@ def solve_prepared(
     components, skipped = _select_components(components, spec, request.k)
     stats.num_skipped_components = skipped
 
+    # The backend follows from the worker count capped to the component
+    # tasks, never from cache state: more than one worker means the pool.
     jobs = request.jobs if request.jobs > 0 else (os.cpu_count() or 1)
-    plan = _plan_sharding(spec, components, request, jobs)
-    # The dynamic early stop needs homogeneous, cap-ordered solve tasks;
-    # the sharded path mixes in setup/shard tasks, so it solves everything
-    # (like the parallel backends) and lets the merge discard the excess.
-    # Decided on the *cold* plan — before any cache substitution — so the
-    # early-stop statistics cannot depend on cache state.
-    early_stop_k = (
-        request.k if (spec.exact and request.k is not None and plan is None) else None
-    )
-    fanout_requested = spec.verify_fanout and request.verify_batch != 1 and (
-        request.verify_batch >= 2 or jobs > 1 or request.verify_jobs > 1
-    )
-    executor_name = _resolve_executor(
-        request,
-        jobs,
-        num_tasks=len(components),
-        sharded=plan is not None,
-        verify_fanout=fanout_requested,
-    )
-    verify_plan = _plan_verify_fanout(spec, components, request, jobs, executor_name)
+    jobs = max(1, min(jobs, len(components)))
+    early_stop_k = request.k if spec.exact and request.k is not None else None
 
-    cached_results: List[Optional[LhCDSResult]] = [
-        result_cache.get(comp) if result_cache is not None else None
-        for comp in components
-    ]
-    if plan is not None and cached_results[plan.position] is not None:
-        # The dominant component is served from cache; nothing to shard.
-        plan = None
-
-    # ------------------------------------------------------------------
-    # round 1: one task per component (the sharded component contributes
-    # its setup stage); round 2 fans the shard sub-tasks out.
-    # ------------------------------------------------------------------
     tasks: List[EngineTask] = []
-    for index, comp in enumerate(components):
-        cached = cached_results[index]
+    cached_results: List[Optional[LhCDSResult]] = []
+    for comp in components:
+        cached = result_cache.get(comp) if result_cache is not None else None
+        cached_results.append(cached)
         if cached is not None:
             tasks.append(
                 EngineTask(
@@ -362,84 +198,28 @@ def solve_prepared(
                     upper_bound=comp.upper_bound,
                 )
             )
-            continue
-        scoped = request.for_component(comp.subgraph)
-        if verify_plan is not None and index in verify_plan.positions:
-            scoped = dataclasses.replace(
-                scoped,
-                verify_batch=verify_plan.window,
-                verify_executor=verify_plan.executor,
-                verify_jobs=verify_plan.jobs,
-            )
-        if plan is not None and index == plan.position:
-            tasks.append(
-                EngineTask(
-                    id=f"setup-c{comp.index}",
-                    kind=KIND_SHARD_SETUP,
-                    solver=spec.name,
-                    payload=(comp, scoped),
-                )
-            )
         else:
             tasks.append(
                 EngineTask(
                     id=f"solve-c{comp.index}",
                     kind=KIND_SOLVE,
                     solver=spec.name,
-                    payload=(comp, scoped),
+                    payload=(comp, request.for_component(comp.subgraph)),
                     upper_bound=comp.upper_bound,
                 )
             )
 
     tick = time.perf_counter()
     jobs_used = 1
-    executor_used = executor_name
+    executor_used = "serial"
     fallback_reason: Optional[str] = None
-    shards_used = 0
+    task_results: List[Optional[LhCDSResult]] = []
     if tasks:
-        batch = TaskBatch(
-            tasks=tasks,
-            jobs=max(1, min(jobs, len(tasks))),
-            early_stop_k=early_stop_k,
-            queue_dir=request.queue_dir,
-        )
-        outcome, executor_used, fallback_reason = _run_batch(executor_name, batch)
+        batch = TaskBatch(tasks=tasks, jobs=jobs, early_stop_k=early_stop_k)
+        outcome, executor_used, fallback_reason = _run_batch(batch)
         jobs_used = outcome.jobs_used
         stats.num_early_stopped_components = outcome.early_stopped
         task_results = outcome.results
-    else:
-        task_results = []
-
-    if plan is not None and tasks:
-        comp = components[plan.position]
-        scoped = request.for_component(comp.subgraph)
-        setup_result = task_results[plan.position]
-        shard_payloads = spec.sharding.split(setup_result, plan.shards)
-        shard_tasks = [
-            EngineTask(
-                id=f"shard-c{comp.index}-{index}",
-                kind=KIND_SHARD_SOLVE,
-                solver=spec.name,
-                payload=(comp, scoped, setup_result, payload),
-            )
-            for index, payload in enumerate(shard_payloads)
-        ]
-        shard_batch = TaskBatch(
-            tasks=shard_tasks,
-            jobs=max(1, min(jobs, len(shard_tasks))),
-            queue_dir=request.queue_dir,
-        )
-        # Reuse the backend that round 1 actually ran on: if it fell back
-        # to serial, there is no point re-probing broken infrastructure.
-        shard_outcome, executor_used, shard_fallback = _run_batch(
-            executor_used, shard_batch
-        )
-        fallback_reason = fallback_reason or shard_fallback
-        jobs_used = max(jobs_used, shard_outcome.jobs_used)
-        shards_used = len(shard_tasks)
-        task_results[plan.position] = spec.sharding.merge(
-            comp, scoped, setup_result, shard_outcome.results
-        )
 
     if result_cache is not None:
         for position, comp in enumerate(components):
@@ -492,8 +272,6 @@ def solve_prepared(
         jobs_used=jobs_used,
         executor=executor_used,
         fallback_reason=fallback_reason,
-        shards_used=shards_used,
-        verify_batch_used=verify_plan.window if verify_plan is not None else 0,
         kernel=request.kernel,
         preprocessing=stats,
         solve_seconds=solve_seconds,

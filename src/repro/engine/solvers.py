@@ -32,7 +32,6 @@ from ..lhcds.exact import exact_top_k_lhcds
 from ..lhcds.ippv import IPPV, DenseSubgraph, IPPVConfig, LhCDSResult, StageTimings
 from ..lhcds.verify import VerificationStats
 from .request import PreparedComponent, SolveRequest
-from .sharding import EXACT_SHARDING, ShardHooks
 
 SolveFn = Callable[[PreparedComponent, SolveRequest], LhCDSResult]
 
@@ -52,12 +51,6 @@ class SolverSpec:
     requires_k: bool = False
     #: Whether the solver runs Algorithm 3 pruning itself.
     internal_prune: bool = False
-    #: Intra-component sharding hooks, or None when the solver only runs
-    #: whole components (see :mod:`repro.engine.sharding`).
-    sharding: Optional[ShardHooks] = None
-    #: Whether the solver can fan its verification stage out across the
-    #: execution backends (``SolveRequest.verify_batch``; currently IPPV).
-    verify_fanout: bool = False
 
     def validate(self, request: SolveRequest) -> None:
         """Raise :class:`EngineError` when the request does not fit."""
@@ -110,12 +103,6 @@ def _solve_ippv(component: PreparedComponent, request: SolveRequest) -> LhCDSRes
         iterations=request.iterations,
         verification=request.verification,
         prune=request.prune,
-        # Verification fan-out: the runtime's plan rewrites these on the
-        # component-scoped request (off by default, see for_component).
-        verify_executor=request.verify_executor,
-        verify_batch=max(1, request.verify_batch),
-        verify_jobs=max(1, request.verify_jobs),
-        verify_queue_dir=request.queue_dir,
         kernel=request.kernel,
     )
     solver = IPPV(
@@ -182,7 +169,6 @@ register_solver(
         solve=_solve_ippv,
         exact=True,
         internal_prune=True,
-        verify_fanout=True,
     )
 )
 register_solver(
@@ -191,7 +177,6 @@ register_solver(
         description="diminishingly-dense decomposition (LhCDScvx-style reference)",
         solve=_solve_exact,
         exact=True,
-        sharding=EXACT_SHARDING,
     )
 )
 register_solver(

@@ -38,12 +38,7 @@ def _run_ippv(
     *,
     verification: str = "fast",
     iterations: int = 20,
-    jobs: int = 1,
-    executor: Optional[str] = None,
 ) -> SolveReport:
-    # ``executor=None`` lets REPRO_EXECUTOR pick the backend, so a whole
-    # experiment sweep can be re-run on any backend without code changes;
-    # output is bit-identical, only the timings move.
     return solve(
         graph=graph,
         pattern=pattern,
@@ -51,8 +46,6 @@ def _run_ippv(
         solver="ippv",
         verification=verification,
         iterations=iterations,
-        jobs=jobs,
-        executor=executor,
     )
 
 
@@ -61,13 +54,8 @@ def _run_baseline(
     solver: str,
     h: int,
     k: Optional[int],
-    *,
-    jobs: int = 1,
-    executor: Optional[str] = None,
 ) -> SolveReport:
-    return solve(
-        graph=graph, pattern=h, k=k, solver=solver, jobs=jobs, executor=executor
-    )
+    return solve(graph=graph, pattern=h, k=k, solver=solver)
 
 
 # ----------------------------------------------------------------------

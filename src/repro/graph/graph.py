@@ -238,9 +238,8 @@ class Graph:
 
         The subgraph's vertex order is canonical: it follows the *parent*
         graph's insertion order, never the iteration order of ``vertices``.
-        Component enumeration (and hence discovery indices used for
-        sharding) follows vertex order, so callers may pass unordered sets
-        without leaking per-process hash order into results.
+        Component enumeration follows vertex order, so callers may pass
+        unordered sets without leaking per-process hash order into results.
         """
         keep = {v for v in vertices if v in self._adj}
         sub = Graph()

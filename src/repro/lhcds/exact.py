@@ -20,7 +20,7 @@ giving exact compact numbers in polynomial time.  It serves three purposes:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..densest.exact import maximal_densest_subset
 from ..errors import AlgorithmError
@@ -75,37 +75,6 @@ def exact_compact_numbers(
     return numbers
 
 
-def lhcds_at_level(
-    graph: Graph,
-    phi: Dict[Vertex, Fraction],
-    rho: Fraction,
-) -> Iterator[Tuple[int, Set[Vertex]]]:
-    """Yield ``(discovery index, vertices)`` of every LhCDS at density ``rho``.
-
-    A connected component of the level set ``{v : phi(v) = rho}`` is an
-    LhCDS iff no member has a neighbour with a strictly larger compact
-    number.  The discovery index counts *all* components of the level (in
-    :func:`connected_components` order), so callers that partition levels
-    across workers can reconstruct this exact enumeration order — the one
-    shared definition both the direct path below and the engine's sharded
-    path (:mod:`repro.engine.sharding`) rely on for bit-identical output.
-    """
-    # A list, not a set: induced_subgraph canonicalises vertex order to the
-    # parent graph's insertion order either way, but the level set never
-    # needs to be unordered, and keeping dict order here makes the
-    # enumeration order visibly independent of per-process hashing.
-    level = [v for v, value in phi.items() if value == rho]
-    for seq, component in enumerate(connected_components(graph.induced_subgraph(level))):
-        touches_denser = any(
-            phi.get(u, Fraction(0)) > rho
-            for v in component
-            for u in graph.neighbors(v)
-            if u not in component
-        )
-        if not touches_denser:
-            yield seq, component
-
-
 def lhcds_from_compact_numbers(
     graph: Graph,
     instances: InstanceSet,
@@ -132,8 +101,18 @@ def lhcds_from_compact_numbers(
     results: List[Tuple[Set[Vertex], Fraction]] = []
     values = sorted({v for v in phi.values() if v > 0}, reverse=True)
     for rho in values:
-        for _, component in lhcds_at_level(graph, phi, rho):
-            results.append((component, rho))
+        # A list, not a set: the level's enumeration order stays visibly
+        # independent of per-process hashing.
+        level = [v for v, value in phi.items() if value == rho]
+        for component in connected_components(graph.induced_subgraph(level)):
+            touches_denser = any(
+                phi.get(u, Fraction(0)) > rho
+                for v in component
+                for u in graph.neighbors(v)
+                if u not in component
+            )
+            if not touches_denser:
+                results.append((component, rho))
     results.sort(key=lambda item: (-item[1], -len(item[0])))
     return results
 

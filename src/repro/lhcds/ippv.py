@@ -47,10 +47,7 @@ from .seq_kclist import seq_kclist_plus_plus
 from .stable_groups import StableGroup, derive_stable_groups
 from .verify import (
     VerificationStats,
-    VerificationVerdict,
     is_densest,
-    make_verification_task,
-    merge_verification_stats,
     verify_basic,
     verify_fast,
 )
@@ -155,227 +152,10 @@ class IPPVConfig:
     max_refinement_rounds: int = 2
     #: Whether to run the pruning stage on the initial proposal.
     prune: bool = True
-    #: Execution backend for the verification fan-out (``serial`` /
-    #: ``thread`` / ``process`` / ``queue``), or None to verify in-process.
-    verify_executor: Optional[str] = None
-    #: Look-ahead window for the fan-out: up to this many queue candidates
-    #: (the popped one plus the next ``verify_batch - 1`` in heap order) are
-    #: verified per dispatched batch.  Speculative verdicts are cached and
-    #: consumed only if the candidate is later popped unchanged, so output
-    #: and verification statistics stay bit-identical to the serial driver.
-    verify_batch: int = 1
-    #: Workers the fan-out backend may use per batch.
-    verify_jobs: int = 1
-    #: Backing directory when the fan-out backend is ``queue``.
-    verify_queue_dir: Optional[str] = None
     #: Kernel backend name for the numeric inner loops (flow, Frank–Wolfe,
     #: clique listing), or None to resolve ``REPRO_KERNEL`` / the default.
     #: Every backend produces bit-identical results and statistics.
     kernel: Optional[str] = None
-
-
-class _VerificationDriver:
-    """Resolves per-candidate verification verdicts for the IPPV main loop.
-
-    In **serial** mode (no ``verify_executor`` configured) it runs
-    ``IsDensest`` and the maximal-compactness check in-process, exactly as
-    the classic pop-verify loop did.  In **fan-out** mode it dispatches a
-    *batch* of self-contained :class:`~repro.lhcds.verify.VerificationTask`
-    payloads — the popped candidate plus a bounded look-ahead over the
-    priority queue — to an engine execution backend, and caches the
-    speculative verdicts.
-
-    Bit-identity is by construction: a verdict is a pure function of the
-    candidate's vertex set (the graph, instances, and bounds are fixed for
-    the whole main loop), so the cache is keyed by that set alone; a
-    speculative verdict is consumed only when the exact same set is popped,
-    and its statistics delta is merged only at consumption time.  A
-    speculated candidate that is later popped *changed* (an accepted
-    subgraph claimed some of its vertices first) simply misses the cache
-    and is re-dispatched; wasted speculative work never alters the output
-    or the reported counters.
-    """
-
-    def __init__(self, ippv: "IPPV") -> None:
-        config = ippv.config
-        self._ippv = ippv
-        self._fanout = config.verify_executor is not None
-        self._executor = config.verify_executor
-        self._window = max(1, config.verify_batch)
-        self._jobs = max(1, config.verify_jobs)
-        self._queue_dir = config.verify_queue_dir
-        self._cache: Dict[FrozenSet[Vertex], VerificationVerdict] = {}
-        self._batches = 0
-        # For the in-process pool backends, one pool is held open for the
-        # whole main loop so its startup cost amortises across batches
-        # (per-batch pool creation is what the registry executors do).
-        self._pool = None
-        # Once dispatch infrastructure fails it stays failed for this run:
-        # every later batch verifies in-process immediately instead of
-        # re-probing a broken backend (which for the queue would mean one
-        # full REPRO_QUEUE_TIMEOUT stall per cache-miss pop).
-        self._backend_broken = False
-
-    def close(self) -> None:
-        """Release the persistent worker pool, if one was started."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def verdict(
-        self,
-        candidate: FrozenSet[Vertex],
-        heap: List[Tuple[Priority, int, FrozenSet[Vertex], int]],
-        output_vertices: Set[Vertex],
-        stats: VerificationStats,
-    ) -> Tuple[bool, bool]:
-        """Return ``(is_densest, maximal_compact)`` for one popped candidate."""
-        ippv = self._ippv
-        if not self._fanout:
-            stats.is_densest_calls += 1
-            densest = is_densest(ippv._instances, candidate, ippv.config.kernel)
-            verified = False
-            if densest:
-                verified = ippv._verify(candidate, ippv._bounds, output_vertices, stats)
-            return densest, verified
-        verdict = self._cache.pop(candidate, None)
-        if verdict is None:
-            self._dispatch(candidate, heap, output_vertices)
-            verdict = self._cache.pop(candidate)
-        merge_verification_stats(stats, verdict.stats)
-        if verdict.densest and verdict.verified and self._cache:
-            # The candidate will be accepted: speculative verdicts that
-            # share vertices with it can never be popped unchanged again.
-            stale = [key for key in self._cache if key & candidate]
-            for key in stale:
-                del self._cache[key]
-        return verdict.densest, verdict.verified
-
-    def _speculate(
-        self,
-        heap: List[Tuple[Priority, int, FrozenSet[Vertex], int]],
-        output_vertices: Set[Vertex],
-        seen: Set[FrozenSet[Vertex]],
-    ) -> List[FrozenSet[Vertex]]:
-        """Verification sets the serial loop would reach next, in pop order.
-
-        Mirrors the main loop's pop-time normalisation (subtract already
-        reported vertices, split into connected components, drop
-        instance-free sets) so speculative keys match later pops exactly.
-        """
-        ippv = self._ippv
-        targets: List[FrozenSet[Vertex]] = []
-        for entry in heapq.nsmallest(self._window - 1, heap):
-            remaining = frozenset(entry[2]) - output_vertices
-            if not remaining:
-                continue
-            for component in connected_components(
-                ippv.graph.induced_subgraph(remaining)
-            ):
-                subset = frozenset(component)
-                if subset in seen or subset in self._cache:
-                    continue
-                if ippv._instances.count_within(subset) == 0:
-                    continue
-                seen.add(subset)
-                targets.append(subset)
-        return targets
-
-    def _dispatch(
-        self,
-        candidate: FrozenSet[Vertex],
-        heap: List[Tuple[Priority, int, FrozenSet[Vertex], int]],
-        output_vertices: Set[Vertex],
-    ) -> None:
-        """Verify the candidate plus the look-ahead window through the backend."""
-        # Imported lazily: the engine layer imports this module at load
-        # time, so a top-level import would be circular.
-        from ..engine.executors import get_executor
-        from ..engine.executors.base import (
-            KIND_VERIFY,
-            EngineTask,
-            ExecutorUnavailable,
-            TaskBatch,
-        )
-
-        ippv = self._ippv
-        targets = [candidate]
-        targets.extend(self._speculate(heap, output_vertices, {candidate}))
-        mode = ippv.config.verification
-        tasks = [
-            make_verification_task(
-                ippv.graph,
-                ippv._instances,
-                ippv._bounds,
-                subset,
-                mode,
-                kernel=ippv.config.kernel,
-            )
-            for subset in targets
-        ]
-        self._batches += 1
-        engine_tasks = [
-            EngineTask(
-                id=f"verify-{self._batches:04d}-{index:02d}",
-                kind=KIND_VERIFY,
-                solver="",
-                payload=(task,),
-            )
-            for index, task in enumerate(tasks)
-        ]
-        if self._backend_broken:
-            verdicts = [task.run() for task in tasks]
-        else:
-            try:
-                if self._executor in ("thread", "process"):
-                    verdicts = self._run_on_pool(engine_tasks)
-                else:
-                    batch = TaskBatch(
-                        tasks=engine_tasks,
-                        jobs=min(self._jobs, len(engine_tasks)),
-                        queue_dir=self._queue_dir,
-                    )
-                    verdicts = get_executor(self._executor).run(batch).results
-            except ExecutorUnavailable:
-                # Infrastructure trouble never changes the answer: run the
-                # very same task payloads in-process instead, and stop
-                # probing the broken backend for the rest of the run.
-                self._backend_broken = True
-                verdicts = [task.run() for task in tasks]
-        for verdict in verdicts:
-            self._cache[verdict.candidate] = verdict
-
-    def _run_on_pool(self, engine_tasks: List) -> List[VerificationVerdict]:
-        """Run one batch on the driver's persistent thread/process pool.
-
-        Same contract as the registry backends: worker-side solver
-        exceptions re-raise as :class:`~repro.errors.EngineError` through
-        the envelope, infrastructure failure raises
-        :class:`ExecutorUnavailable` (which the caller answers by retiring
-        the backend and verifying in-process — bit-identical either way).
-        """
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-        from ..engine.executors.base import (
-            POOL_INFRA_EXCEPTIONS,
-            ExecutorUnavailable,
-            run_task_enveloped,
-            unwrap_envelope,
-        )
-
-        if self._pool is None:
-            pool_class = (
-                ProcessPoolExecutor if self._executor == "process" else ThreadPoolExecutor
-            )
-            self._pool = pool_class(max_workers=self._jobs)
-        try:
-            envelopes = list(self._pool.map(run_task_enveloped, engine_tasks))
-        except POOL_INFRA_EXCEPTIONS as exc:
-            self.close()
-            raise ExecutorUnavailable(
-                f"verification pool unavailable ({type(exc).__name__}: {exc})"
-            ) from exc
-        return [unwrap_envelope(envelope) for envelope in envelopes]
 
 
 class IPPV:
@@ -452,104 +232,102 @@ class IPPV:
         # the running k-th best, so the early-stop check is O(1) per pop
         # instead of re-sorting every found density.
         topk_densities: List[Fraction] = []
-        verifier = _VerificationDriver(self)
         examined = 0
         refinements = 0
         exact_splits = 0
 
-        try:
-            while heap:
-                if k is not None and len(found) >= k:
-                    kth = topk_densities[0]
-                    best_remaining = -heap[0][0]
-                    # Exact certified stop: the k-th best verified density
-                    # already matches or exceeds every remaining candidate's
-                    # sound upper bound, so nothing left can be *strictly*
-                    # denser.  The comparison is Fraction-vs-priority with no
-                    # epsilon — a float image comparison here could stop
-                    # before the certificate holds (missing a strictly
-                    # denser subgraph) whenever two densities collide in
-                    # float space.
-                    if kth >= best_remaining:
-                        break
-                neg_priority, _, candidate, depth = heapq.heappop(heap)
-                candidate = frozenset(candidate - output_vertices)
-                if not candidate:
-                    continue
-                components = connected_components(self.graph.induced_subgraph(candidate))
-                if len(components) > 1:
-                    for component in components:
-                        counter = self._push(heap, counter, frozenset(component), depth)
-                    continue
-                candidate = frozenset(components[0])
-                local_count = instances.count_within(candidate)
-                if local_count == 0:
-                    continue
-                examined += 1
+        while heap:
+            if k is not None and len(found) >= k:
+                kth = topk_densities[0]
+                best_remaining = -heap[0][0]
+                # Exact certified stop: the k-th best verified density
+                # already matches or exceeds every remaining candidate's
+                # sound upper bound, so nothing left can be *strictly*
+                # denser.  The comparison is Fraction-vs-priority with no
+                # epsilon — a float image comparison here could stop
+                # before the certificate holds (missing a strictly
+                # denser subgraph) whenever two densities collide in
+                # float space.
+                if kth >= best_remaining:
+                    break
+            neg_priority, _, candidate, depth = heapq.heappop(heap)
+            candidate = frozenset(candidate - output_vertices)
+            if not candidate:
+                continue
+            components = connected_components(self.graph.induced_subgraph(candidate))
+            if len(components) > 1:
+                for component in components:
+                    counter = self._push(heap, counter, frozenset(component), depth)
+                continue
+            candidate = frozenset(components[0])
+            local_count = instances.count_within(candidate)
+            if local_count == 0:
+                continue
+            examined += 1
 
-                tick = time.perf_counter()
-                densest, verified = verifier.verdict(
-                    candidate, heap, output_vertices, verification_stats
-                )
-                timings.verification += time.perf_counter() - tick
-                if densest:
-                    if verified:
-                        density = Fraction(local_count, len(candidate))
-                        found.append(
-                            DenseSubgraph(
-                                vertices=candidate,
-                                density=density,
-                                pattern_name=self.pattern.name,
-                                h=self.pattern.size,
-                            )
+            tick = time.perf_counter()
+            verification_stats.is_densest_calls += 1
+            densest = is_densest(instances, candidate, self.config.kernel)
+            verified = densest and self._verify(
+                candidate, bounds, output_vertices, verification_stats
+            )
+            timings.verification += time.perf_counter() - tick
+            if densest:
+                if verified:
+                    density = Fraction(local_count, len(candidate))
+                    found.append(
+                        DenseSubgraph(
+                            vertices=candidate,
+                            density=density,
+                            pattern_name=self.pattern.name,
+                            h=self.pattern.size,
                         )
-                        output_vertices |= set(candidate)
-                        if k is not None:
-                            heapq.heappush(topk_densities, density)
-                            if len(topk_densities) > k:
-                                heapq.heappop(topk_densities)
-                    # A self-densest candidate that is not maximal-compact
-                    # cannot contain any LhCDS, so it is safe to discard it
-                    # either way.
-                    continue
-
-                # The candidate is not self-densest: refine it.
-                if depth < self.config.max_refinement_rounds:
-                    refinements += 1
-                    scratch_bounds = bounds.copy()
-                    subgroups = self._propose(
-                        sorted(candidate, key=repr), scratch_bounds, timings
                     )
-                    subsets = {frozenset(g.vertices) for g in subgroups}
-                    if subsets and subsets != {candidate}:
-                        # Push in a canonical order: the insertion counter
-                        # breaks heap ties, so set iteration order here
-                        # would otherwise leak per-process hash order into
-                        # the exploration sequence.
-                        for subset in sorted(
-                            subsets, key=lambda s: sorted(repr(v) for v in s)
-                        ):
-                            counter = self._push(heap, counter, subset, depth + 1)
-                        continue
-                # Exact fallback: split along the maximal densest subgraph.
-                exact_splits += 1
-                local = instances.restrict(candidate)
-                dense_side, _ = maximal_densest_subset(
-                    local, candidate, kernel=self.config.kernel
+                    output_vertices |= set(candidate)
+                    if k is not None:
+                        heapq.heappush(topk_densities, density)
+                        if len(topk_densities) > k:
+                            heapq.heappop(topk_densities)
+                # A self-densest candidate that is not maximal-compact
+                # cannot contain any LhCDS, so it is safe to discard it
+                # either way.
+                continue
+
+            # The candidate is not self-densest: refine it.
+            if depth < self.config.max_refinement_rounds:
+                refinements += 1
+                scratch_bounds = bounds.copy()
+                subgroups = self._propose(
+                    sorted(candidate, key=repr), scratch_bounds, timings
                 )
-                dense_side = set(dense_side)
-                remainder = set(candidate) - dense_side
+                subsets = {frozenset(g.vertices) for g in subgroups}
+                if subsets and subsets != {candidate}:
+                    # Push in a canonical order: the insertion counter
+                    # breaks heap ties, so set iteration order here
+                    # would otherwise leak per-process hash order into
+                    # the exploration sequence.
+                    for subset in sorted(
+                        subsets, key=lambda s: sorted(repr(v) for v in s)
+                    ):
+                        counter = self._push(heap, counter, subset, depth + 1)
+                    continue
+            # Exact fallback: split along the maximal densest subgraph.
+            exact_splits += 1
+            local = instances.restrict(candidate)
+            dense_side, _ = maximal_densest_subset(
+                local, candidate, kernel=self.config.kernel
+            )
+            dense_side = set(dense_side)
+            remainder = set(candidate) - dense_side
+            for component in connected_components(
+                self.graph.induced_subgraph(dense_side)
+            ):
+                counter = self._push(heap, counter, frozenset(component), depth)
+            if remainder:
                 for component in connected_components(
-                    self.graph.induced_subgraph(dense_side)
+                    self.graph.induced_subgraph(remainder)
                 ):
                     counter = self._push(heap, counter, frozenset(component), depth)
-                if remainder:
-                    for component in connected_components(
-                        self.graph.induced_subgraph(remainder)
-                    ):
-                        counter = self._push(heap, counter, frozenset(component), depth)
-        finally:
-            verifier.close()
 
         found.sort(key=subgraph_sort_key)
         if k is not None:

@@ -10,7 +10,7 @@ solve itself, which is the point of serving instead of re-running the CLI.
 The HTTP layer lives in :mod:`repro.server.app`; the socket-free core (the
 piece tests and embedders use) is :class:`repro.server.service.SolveService`.
 Served solves are bit-identical to cold in-process solves for every solver,
-executor backend, and kernel — the server only changes *where* the prepared
+``jobs`` value, and kernel — the server only changes *where* the prepared
 components come from, never what they contain.
 """
 

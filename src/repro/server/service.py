@@ -14,7 +14,7 @@ Request validation is centralised here: every endpoint body goes through
 :data:`SESSION_SOLVE_KEYS`, :data:`DELTA_KEYS`, :data:`REGISTER_KEYS`), so
 an unknown key is rejected with the accepted keys enumerated in the error
 detail, and the delta/session endpoints accept exactly the same
-solver/executor/kernel keys as ``/v1/solve``.
+solver/kernel keys as ``/v1/solve``.
 
 Solves and delta applications are serialized by an internal lock: warm
 artifacts and sessions are *shared* objects, and the instance-set scratch
@@ -34,10 +34,8 @@ from ..datasets.registry import dataset_abbreviations, get_spec, load_dataset
 from ..engine import (
     IncrementalSession,
     SolveRequest,
-    available_executors,
     available_solvers,
     cache_for,
-    describe_executor,
     get_solver,
     solve,
 )
@@ -86,12 +84,6 @@ _REQUEST_FIELDS = (
     "k",
     "solver",
     "jobs",
-    "executor",
-    "shards",
-    "queue_dir",
-    "verify_batch",
-    "verify_executor",
-    "verify_jobs",
     "kernel",
     "iterations",
     "verification",
@@ -101,8 +93,8 @@ _REQUEST_FIELDS = (
 
 #: Every key ``POST /v1/solve`` understands.
 SOLVE_KEYS = frozenset(_REQUEST_FIELDS) | {"graph", "dataset", "pattern", "h"}
-#: Every key ``POST /v1/graphs/{name}/solve`` understands: the full solver/
-#: executor/kernel surface of ``/v1/solve``, minus the graph selector (the
+#: Every key ``POST /v1/graphs/{name}/solve`` understands: the full
+#: solver/kernel surface of ``/v1/solve``, minus the graph selector (the
 #: path names the graph).
 SESSION_SOLVE_KEYS = frozenset(_REQUEST_FIELDS) | {"pattern", "h"}
 #: Every key ``POST /v1/graphs/{name}/deltas`` understands.
@@ -429,7 +421,7 @@ class SolveService:
     def solve_incremental(self, name: str, payload: Any) -> Dict[str, Any]:
         """Solve a named graph through its warm incremental session.
 
-        Accepts exactly the solver/executor/kernel surface of
+        Accepts exactly the solver/kernel surface of
         :meth:`solve` minus the graph selector (the path names the graph).
         The session is opened lazily per (graph, pattern) and reused across
         calls and deltas; its report is bit-identical to a cold solve of
@@ -506,18 +498,9 @@ class SolveService:
                     "exact": spec.exact,
                     "fixed_h": spec.fixed_h,
                     "requires_k": spec.requires_k,
-                    "verify_fanout": spec.verify_fanout,
-                    "sharding": spec.sharding is not None,
                 }
             )
         return rows
-
-    def executors(self) -> List[Dict[str, Any]]:
-        """Registered execution backends."""
-        return [
-            {"name": name, "description": describe_executor(name)}
-            for name in available_executors()
-        ]
 
     def kernels(self) -> List[Dict[str, Any]]:
         """Registered kernel backends."""

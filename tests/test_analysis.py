@@ -7,7 +7,6 @@ committed baseline exactly the way CI does.
 """
 
 import json
-import os
 import textwrap
 from pathlib import Path
 
@@ -241,10 +240,10 @@ class TestRegistryHygiene:
         )
         assert active(findings, "RG01") == []
 
-    def test_catches_undocumented_executor_subclass(self):
+    def test_catches_undocumented_kernel_subclass(self):
         findings = lint(
             """
-            class QuietExecutor(Executor):
+            class QuietKernel(KernelBackend):
                 name = "quiet"
             """,
             path=ENGINE,

@@ -3,9 +3,9 @@ round-trip, invalidation (any content change misses, any label-preserving
 reload hits), corruption fallback, the LRU size cap + ledger, the
 cache-aware preprocess front door, and the ``repro-lhcds cache`` CLI.
 
-The acceptance criterion mirrored from the executor matrix: a cache-hit
+The acceptance criterion mirrored from the engine matrix: a cache-hit
 solve must be bit-identical (result *and* stats) to a cold in-process solve
-for every solver x executor x kernel combination."""
+for every solver x jobs x kernel combination."""
 
 from __future__ import annotations
 
@@ -218,11 +218,11 @@ class TestBitIdentityColdVsWarm:
         "solver,h",
         [("ippv", 3), ("exact", 3), ("greedy", 3), ("ldsflow", 2), ("ltds", 3)],
     )
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_matrix_cache_hit_identical_to_cold(self, tmp_path, solver, h, executor):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matrix_cache_hit_identical_to_cold(self, tmp_path, solver, h, jobs):
         root = str(tmp_path / "cache")
         graph = multi_component_graph()
-        options = dict(pattern=h, k=4, solver=solver, jobs=2, executor=executor)
+        options = dict(pattern=h, k=4, solver=solver, jobs=jobs)
         cold = solve(graph=graph, cache_dir=None, **options)
         miss = solve(graph=graph, cache_dir=root, **options)
         hit = solve(graph=graph, cache_dir=root, **options)
@@ -237,22 +237,22 @@ class TestBitIdentityColdVsWarm:
             assert _stats_signature(warm.preprocessing) == _stats_signature(
                 cold.preprocessing
             )
-        assert hit.executor == executor
+        assert hit.executor == ("process" if jobs > 1 else "serial")
         assert hit.fallback_reason is None
 
     @pytest.mark.parametrize("kernel", available_kernels())
-    def test_queue_backend_and_kernels_identical(self, tmp_path, kernel):
+    def test_process_backend_and_kernels_identical(self, tmp_path, kernel):
         root = str(tmp_path / "cache")
         graph = multi_component_graph()
         options = dict(pattern=3, k=4, solver="ippv", kernel=kernel)
-        cold = solve(graph=graph, jobs=1, executor="serial", **options)
-        solve(graph=graph, cache_dir=root, jobs=1, executor="serial", **options)
-        hit = solve(graph=graph, cache_dir=root, jobs=2, executor="queue", **options)
+        cold = solve(graph=graph, jobs=1, **options)
+        solve(graph=graph, cache_dir=root, jobs=1, **options)
+        hit = solve(graph=graph, cache_dir=root, jobs=2, **options)
         assert hit.preprocessing.cache_state in (STATE_HIT, STATE_HIT_MEMORY)
         assert signature(hit) == signature(cold)
         assert hit.verification == cold.verification
         assert hit.kernel == kernel
-        assert hit.executor == "queue"
+        assert hit.executor == "process"
 
     def test_disk_hit_across_cache_instances_identical(self, tmp_path):
         """A fresh process would load from disk: simulate with a new cache."""

@@ -177,14 +177,11 @@ class TestSerialParallelIdentity:
         assert _signature(serial) == _signature(parallel)
         assert serial.jobs_used == 1
         # Guards against a silent serial fallback: the graph has >= 4
-        # solvable components for every solver, so unless the run was
-        # forced onto the serial backend (REPRO_EXECUTOR in the CI matrix)
-        # the parallel backend must actually engage.
+        # solvable components for every solver, so the process pool must
+        # actually engage with every requested worker.
         assert parallel.fallback_reason is None
-        if parallel.executor == "serial":
-            assert parallel.jobs_used == 1
-        else:
-            assert parallel.jobs_used == jobs
+        assert parallel.executor == "process"
+        assert parallel.jobs_used == jobs
 
     def test_jobs_zero_means_cpu_count(self):
         graph = _multi_component_graph()

@@ -1,6 +1,6 @@
 """Tests for the incremental engine: :class:`IncrementalSession` solves must
 be bit-identical — result AND stats-relevant fields — to a cold solve of the
-final graph, after any delta sequence, on every executor and kernel."""
+final graph, after any delta sequence, for every jobs value and kernel."""
 
 from __future__ import annotations
 
@@ -126,13 +126,13 @@ class TestBitIdentityRandomized:
         assert report_signature(report) == cold_signature(session.graph, **options)
 
 
-class TestExecutorKernelMatrix:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+class TestJobsKernelMatrix:
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("kernel", available_kernels())
-    def test_matrix_bit_identity(self, executor, kernel):
+    def test_matrix_bit_identity(self, jobs, kernel):
         graph = multi_component_graph()
         session = IncrementalSession(graph, 3, copy_graph=True, kernel=kernel)
-        options = dict(solver="exact", k=3, executor=executor, jobs=2, kernel=kernel)
+        options = dict(solver="exact", k=3, jobs=jobs, kernel=kernel)
         session.solve(**options)
         deltas = [
             GraphDelta(remove_vertices=(0,)),  # touch the K6

